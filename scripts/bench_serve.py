@@ -135,7 +135,6 @@ def run(config: BenchConfig) -> BenchReport:
         "requests_per_client", 4 if config.smoke else 12
     )
     max_batch = config.opt("max_batch", 8)
-    max_wait_ms = config.opt("max_wait_ms", 10.0)
 
     model = CostModel(LLMulatorConfig(tier=tier, seed=0))
     mix = build_mix()
@@ -164,12 +163,7 @@ def run(config: BenchConfig) -> BenchReport:
     # The served stack is built the way every frontend now builds it:
     # a Session facade owning the warm engine and caches.
     session = Session.from_model(model)
-    server = PredictionServer(
-        session=session,
-        port=0,
-        max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
-    ).start()
+    server = PredictionServer(session=session, port=0, max_batch=max_batch).start()
     try:
         # Phase 1 — unique sweep: each program once, batching gain only.
         unique_streams = [
@@ -255,7 +249,6 @@ register_suite(BenchSuite(
         Option("--concurrency", int, None, "closed-loop client count"),
         Option("--requests-per-client", int, None, "mixed-phase stream length"),
         Option("--max-batch", int, 8, "server micro-batch cap"),
-        Option("--max-wait-ms", float, 10.0, "server micro-batch window"),
     ),
     tiers=("0.5B", "1B", "8B"),
     default_tier="0.5B",

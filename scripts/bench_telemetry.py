@@ -150,9 +150,7 @@ def bench_serve_stream(model, concurrency: int, per_client: int) -> dict:
     METRICS.reset()
     TRACER.clear()
     engine = PredictionEngine.from_model(model)
-    server = PredictionServer(
-        engine, port=0, max_batch=concurrency, max_wait_ms=10.0
-    ).start()
+    server = PredictionServer(engine, port=0, max_batch=concurrency).start()
     errors = []
     try:
 

@@ -29,8 +29,8 @@ Rules (all reported as ``file:line: RULE message``, exit 1 on findings):
   ``src/repro`` outside ``repro.telemetry``: all timing routes through
   :mod:`repro.telemetry.clock` so instrumentation stays consistent and
   the disabled mode has one switch.  A deliberate exception (e.g. the
-  micro-batcher's deadline arithmetic, which must tick with telemetry
-  off) is waived with a ``# lint: allow-wallclock`` comment on the
+  resource profiler's process-CPU reads, which are what it measures)
+  is waived with a ``# lint: allow-wallclock`` comment on the
   offending line.
 * ``REPRO007`` a ``scripts/bench_*.py`` benchmark that bypasses the
   bench registry: either it never imports :mod:`repro.obs` (every

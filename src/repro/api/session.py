@@ -212,8 +212,7 @@ class Session:
                 data=dict(job.data) if job.data else None,
                 rng=np.random.default_rng(job.seed),
             )
-        with self.engine.lock:
-            self.engine.stats.profile_requests += 1
+        self.engine.record_profile()
         return ProfileReport(
             costs=report.costs.as_dict(),
             rtl_think=report.rtl.think_text(),

@@ -528,7 +528,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             verbose=args.verbose,
         )
     except OSError as exc:
@@ -1113,8 +1112,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8173)
     serve.add_argument("--max-batch", type=int, default=8,
                        help="micro-batch flush size")
-    serve.add_argument("--max-wait-ms", type=float, default=10.0,
-                       help="max time a request waits for batch-mates")
     serve.add_argument("--max-seq-len", type=int, default=320)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--verbose", action="store_true",

@@ -11,6 +11,7 @@ segment instead of the whole sequence.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +24,11 @@ from .model import CostModel
 from .numeric_head import NumericPrediction
 
 
+# Per-predict latencies kept: a bounded ring, so a long-lived predictor
+# (the serve engine's) does not grow by one entry per metric served.
+LATENCY_WINDOW = 1024
+
+
 @dataclass
 class AccelerationStats:
     """Cache behaviour counters."""
@@ -30,7 +36,9 @@ class AccelerationStats:
     hits: int = 0
     misses: int = 0
     last_latency_s: float = 0.0
-    latencies: list[float] = field(default_factory=list)
+    latencies: deque[float] = field(
+        default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
+    )
 
     @property
     def hit_rate(self) -> float:

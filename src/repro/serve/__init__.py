@@ -2,7 +2,7 @@
 
 Turns the batch-tool substrate into a long-lived server: warm models
 (:class:`ModelRegistry`), tiered caching and batched inference
-(:class:`PredictionEngine`), dynamic micro-batching
+(:class:`PredictionEngine`), greedy micro-batching of cache misses
 (:class:`MicroBatcher`), a stdlib HTTP front end
 (:class:`PredictionServer`) and its client (:class:`ServeClient`).
 """

@@ -1,31 +1,28 @@
-"""Dynamic micro-batching for the prediction service.
+"""Greedy micro-batching for the prediction service.
 
-Concurrent callers submit single requests; a background worker collects
-them into batches — up to ``max_batch`` items, waiting at most
-``max_wait_ms`` after the first arrival — and flushes each batch through
-one callback (for the engine: one ``predict_costs_batch`` pass).  On
-this one-core substrate the win is amortization, not parallelism: a
-flush of N requests pays the encoder-pass and Python-dispatch overhead
-once instead of N times (see ``CostModel._SCORE_BUDGET``).
+Concurrent callers submit single requests; a background worker takes
+the first queued request plus whatever else is *already* queued (up to
+``max_batch`` items) and flushes them through one callback (for the
+engine: one ``predict_requests`` pass).  Nothing waits for batch-mates:
+a lone request is flushed at once, and batches form only from requests
+that arrived while the previous flush ran.  Length bucketing is left to
+``CostModel.encode_batch``, which sorts and chunks every flushed batch
+by its ``_SCORE_BUDGET``.
 
-Before flushing, a batch is length-bucketed: requests are sorted by
-their estimated sequence length and greedily chunked so one bucket's
-attention score tensor stays within the score budget, mirroring the
-chunking ``encode_batch`` applies internally — short requests are never
-padded out to the longest outlier in the batch.
+The server answers result-cache hits on its handler threads before it
+submits anything, so only misses reach the queue: :class:`BatchStats`
+and the ``serve.batch.*`` histograms describe misses only.
 
 Telemetry: every submitted item carries its enqueue time and the
 caller's :class:`~repro.telemetry.trace.SpanContext` across the queue,
 so the worker can emit a per-request ``serve.batch.queue_wait`` span
 *inside the caller's trace* and feed the
-``serve.batch.queue_wait_ms`` / ``serve.batch.size`` histograms — the
-exact data that diagnoses the mean-batch-size gap (`BENCH_serve.json`).
+``serve.batch.queue_wait_ms`` / ``serve.batch.size`` histograms.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from queue import Empty, Queue
@@ -90,32 +87,21 @@ class BatchStats:
 
 
 class MicroBatcher:
-    """Request queue with dynamic micro-batching.
+    """Request queue with greedy micro-batching.
 
     ``flush_fn(items)`` must return one result per item, in order; its
-    return fills the callers' futures.  ``length_of(item)`` (optional)
-    estimates an item's padded sequence length for bucketing;
-    ``score_budget`` is the per-bucket ``batch × length²`` element
-    budget (``None`` disables bucketing).
+    return fills the callers' futures.
     """
 
     def __init__(
         self,
         flush_fn: Callable[[list[Any]], Sequence[Any]],
         max_batch: int = 8,
-        max_wait_ms: float = 10.0,
-        length_of: Optional[Callable[[Any], int]] = None,
-        score_budget: Optional[int] = None,
     ) -> None:
         if max_batch < 1:
             raise ServeError(f"max_batch must be positive, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ServeError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self._flush_fn = flush_fn
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_ms / 1000.0
-        self._length_of = length_of
-        self._score_budget = score_budget
         self._queue: Queue = Queue()
         self._closed = threading.Event()
         self.stats = BatchStats()
@@ -171,10 +157,8 @@ class MicroBatcher:
                 return
 
     def _collect(self) -> list[_Entry]:
-        """Block for the first request, then gather until ``max_batch``
-        items arrived or ``max_wait_ms`` elapsed since the first."""
-        # Deadline arithmetic deliberately stays on the raw monotonic
-        # clock: it must keep ticking with telemetry fully disabled.
+        """Block for the first request, then take only the requests
+        already queued behind it, up to ``max_batch``."""
         try:
             first = self._queue.get(timeout=0.05)
         except Empty:
@@ -182,13 +166,9 @@ class MicroBatcher:
         if first is None:
             return []
         batch = [first]
-        deadline = time.monotonic() + self.max_wait_s  # lint: allow-wallclock
         while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()  # lint: allow-wallclock
-            if remaining <= 0:
-                break
             try:
-                entry = self._queue.get(timeout=remaining)
+                entry = self._queue.get_nowait()
             except Empty:
                 break
             if entry is None:
@@ -196,70 +176,42 @@ class MicroBatcher:
             batch.append(entry)
         return batch
 
-    def _buckets(self, batch: list[_Entry]) -> list[list[_Entry]]:
-        if self._length_of is None or self._score_budget is None or len(batch) <= 1:
-            return [batch]
-        order = sorted(batch, key=lambda entry: self._length_of(entry.item))
-        buckets: list[list[_Entry]] = []
-        current: list[_Entry] = []
-        for entry in order:
-            # Ascending lengths: the newest member sets the padded width.
-            cost = (len(current) + 1) * self._length_of(entry.item) ** 2
-            if current and cost > self._score_budget:
-                buckets.append(current)
-                current = []
-            current.append(entry)
-        buckets.append(current)
-        return buckets
-
     def _flush(self, batch: list[_Entry]) -> None:
+        flush_start = clock.now()
+        # Queue-wait lands in each request's own trace: the span the
+        # caller opened before submit() is the parent.
+        for entry in batch:
+            _QUEUE_WAIT_MS.observe((flush_start - entry.enqueued) * 1000.0)
+            TRACER.record_span(
+                "serve.batch.queue_wait",
+                start=entry.enqueued,
+                end=flush_start,
+                context=entry.ctx,
+            )
+        _BATCH_SIZE.observe(len(batch))
+        items = [entry.item for entry in batch]
+        # The flush itself is one shared pass; its span nests under the
+        # first traced caller (batch-mates are recorded by id).
+        parent = next((entry.ctx for entry in batch if entry.ctx is not None), None)
+        attrs = {"batch_size": len(items)}
+        coalesced = {entry.ctx.trace_id for entry in batch if entry.ctx is not None}
+        if len(coalesced) > 1:
+            attrs["coalesced_traces"] = sorted(coalesced)
         try:
-            buckets = self._buckets(batch)
-        except BaseException as exc:  # a bad length_of must not kill the worker
+            with TRACER.span("serve.batch.flush", attrs, context=parent):
+                results = list(self._flush_fn(items))
+            if len(results) != len(items):
+                raise ServeError(
+                    f"flush returned {len(results)} results "
+                    f"for {len(items)} requests"
+                )
+        except BaseException as exc:  # propagate to every caller
             for entry in batch:
                 if not entry.future.cancelled():
                     entry.future.set_exception(exc)
             return
-        for bucket in buckets:
-            flush_start = clock.now()
-            # Queue-wait lands in each request's own trace: the span the
-            # caller opened before submit() is the parent.
-            for entry in bucket:
-                _QUEUE_WAIT_MS.observe((flush_start - entry.enqueued) * 1000.0)
-                TRACER.record_span(
-                    "serve.batch.queue_wait",
-                    start=entry.enqueued,
-                    end=flush_start,
-                    context=entry.ctx,
-                )
-            _BATCH_SIZE.observe(len(bucket))
-            items = [entry.item for entry in bucket]
-            # The flush itself is one shared pass; its span nests under
-            # the first traced caller (batch-mates are recorded by id).
-            parent = next(
-                (entry.ctx for entry in bucket if entry.ctx is not None), None
-            )
-            attrs = {"batch_size": len(items)}
-            coalesced = {
-                entry.ctx.trace_id for entry in bucket if entry.ctx is not None
-            }
-            if len(coalesced) > 1:
-                attrs["coalesced_traces"] = sorted(coalesced)
-            try:
-                with TRACER.span("serve.batch.flush", attrs, context=parent):
-                    results = list(self._flush_fn(items))
-                if len(results) != len(items):
-                    raise ServeError(
-                        f"flush returned {len(results)} results "
-                        f"for {len(items)} requests"
-                    )
-            except BaseException as exc:  # propagate to every caller
-                for entry in bucket:
-                    if not entry.future.cancelled():
-                        entry.future.set_exception(exc)
-                continue
-            _FLUSH_MS.observe((clock.now() - flush_start) * 1000.0)
-            self.stats.record(len(items))
-            for entry, result in zip(bucket, results):
-                if not entry.future.cancelled():
-                    entry.future.set_result(result)
+        _FLUSH_MS.observe((clock.now() - flush_start) * 1000.0)
+        self.stats.record(len(items))
+        for entry, result in zip(batch, results):
+            if not entry.future.cancelled():
+                entry.future.set_result(result)

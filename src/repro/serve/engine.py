@@ -17,6 +17,8 @@ requests.  It owns
 Misses are computed through the batched encoder path
 (``CachedPredictor.warm`` → ``encode_batch``), so one flush of N
 requests pays one padded pass per length bucket instead of N passes.
+Hits are answered by :meth:`PredictionEngine.cached_result` without
+touching the model.
 """
 
 from __future__ import annotations
@@ -139,7 +141,9 @@ class PredictRequest:
 
 @dataclass
 class EngineStats:
-    """Request/result-cache counters for ``/stats``."""
+    """Request/result-cache counters for ``/stats``, guarded by the
+    engine's cache lock.  Every request is counted once, as a hit or as
+    a miss, so ``requests == result_hits + result_misses``."""
 
     requests: int = 0
     result_hits: int = 0
@@ -164,10 +168,15 @@ def _digest(*texts: str) -> str:
 class PredictionEngine:
     """Warm-model prediction with tiered caching.
 
-    Thread-safe: inference runs under one lock (a single core has no
-    parallelism to lose), so the engine can be fed both by a
-    :class:`~repro.serve.batching.MicroBatcher` worker and directly by
-    library callers (harness, explorer) at the same time.
+    Thread-safe, with two locks.  Inference runs under one re-entrant
+    lock (a single core has no parallelism to lose), so the engine can
+    be fed both by a :class:`~repro.serve.batching.MicroBatcher` worker
+    and directly by library callers (harness, explorer) at the same
+    time.  The result LRU, the :meth:`build_request` bundle memo and
+    :class:`EngineStats` sit under a separate cache lock that is never
+    held across an encode, so a result-cache hit never waits behind
+    another caller's miss.  Lock order: the inference lock, then the
+    cache lock, never the reverse.
     """
 
     def __init__(
@@ -191,6 +200,7 @@ class PredictionEngine:
         self._predictors: dict[str, CachedPredictor] = {}
         self._bundles: dict[str, tuple[ModelInput, tuple[str, ...]]] = {}
         self._lock = threading.RLock()
+        self._cache_lock = threading.Lock()
 
     @property
     def lock(self) -> threading.RLock:
@@ -232,9 +242,10 @@ class PredictionEngine:
 
     def _invalidate_locked(self, name: str) -> None:
         self._predictors.pop(name, None)
-        self._results = {
-            key: value for key, value in self._results.items() if key[0] != name
-        }
+        with self._cache_lock:
+            self._results = {
+                key: value for key, value in self._results.items() if key[0] != name
+            }
 
     # -- request preparation ---------------------------------------------
 
@@ -274,14 +285,14 @@ class PredictionEngine:
             params.describe(),
             repr(sorted((data or {}).items())),
         )
-        with self._lock:
+        with self._cache_lock:
             cached = self._bundles.get(key)
         if cached is None:
             program = parse(source)
             bundle = bundle_from_program(program, params=params, data=data or None)
             segments = tuple(class_i_segments(program))
             cached = (bundle, segments)
-            with self._lock:
+            with self._cache_lock:
                 self._bundles[key] = cached
                 while len(self._bundles) > self.max_result_entries:
                     self._bundles.pop(next(iter(self._bundles)))
@@ -292,49 +303,69 @@ class PredictionEngine:
 
     # -- prediction ------------------------------------------------------
 
+    def cached_result(self, request: PredictRequest) -> Optional[CostPrediction]:
+        """The request's result-cache entry, or None on a miss.
+
+        Takes only the cache lock, so a hit waits for no encode.  A hit
+        is counted here as a served request; a miss counts nothing, as
+        :meth:`predict_requests` counts it when the request is served.
+        """
+        key = self._result_key(request)
+        with self._cache_lock:
+            cached = self._results.pop(key, None)
+            if cached is None:
+                return None
+            self._results[key] = cached  # refresh LRU recency
+            self.stats.requests += 1
+            self.stats.result_hits += 1
+        _REQUESTS.inc()
+        _RESULT_HITS.inc()
+        return cached
+
     def predict_requests(
         self, requests: Sequence[PredictRequest]
     ) -> list[CostPrediction]:
         """Serve a micro-batch; the :class:`MicroBatcher` flush target.
 
         Result-cache hits are free; misses are grouped per model and
-        computed through one batched encoder pass each.
+        computed through one batched encoder pass each.  A key repeated
+        within the batch is computed once and its repeats count as hits.
         """
         requests = list(requests)
         results: list[Optional[CostPrediction]] = [None] * len(requests)
-        _REQUESTS.inc(len(requests))
+        keys = [self._result_key(request) for request in requests]
         with TRACER.span(
             "engine.predict", {"requests": len(requests)}
         ) as span, self._lock:
             start = clock.now()
-            self.stats.requests += len(requests)
-            missing: dict[str, list[int]] = {}
-            keys = [self._result_key(request) for request in requests]
-            for index, (request, key) in enumerate(zip(requests, keys)):
-                cached = self._results.pop(key, None)
-                if cached is not None:
-                    self._results[key] = cached  # refresh LRU recency
-                    self.stats.result_hits += 1
-                    results[index] = cached
-                else:
-                    missing.setdefault(request.model, []).append(index)
-            hits = sum(1 for result in results if result is not None)
+            missing: dict[str, dict[tuple[str, str], list[int]]] = {}
+            with self._cache_lock:
+                for index, (request, key) in enumerate(zip(requests, keys)):
+                    cached = self._results.pop(key, None)
+                    if cached is not None:
+                        self._results[key] = cached  # refresh LRU recency
+                        results[index] = cached
+                    else:
+                        fresh = missing.setdefault(request.model, {})
+                        fresh.setdefault(key, []).append(index)
+                misses = sum(len(fresh) for fresh in missing.values())
+                hits = len(requests) - misses
+                self.stats.requests += len(requests)
+                self.stats.result_hits += hits
+                self.stats.result_misses += misses
+            _REQUESTS.inc(len(requests))
             _RESULT_HITS.inc(hits)
-            for model_name, indices in missing.items():
-                # Duplicate keys within one flush compute once.
-                fresh: dict[tuple[str, str], list[int]] = {}
-                for index in indices:
-                    fresh.setdefault(keys[index], []).append(index)
-                self.stats.result_misses += len(fresh)
-                _RESULT_MISSES.inc(len(fresh))
+            _RESULT_MISSES.inc(misses)
+            for model_name, fresh in missing.items():
                 batch = [requests[rows[0]] for rows in fresh.values()]
                 predictions = self._predict_batch(model_name, batch)
-                for (key, rows), prediction in zip(fresh.items(), predictions):
-                    self._results[key] = prediction
-                    for row in rows:
-                        results[row] = prediction
-                while len(self._results) > self.max_result_entries:
-                    self._results.pop(next(iter(self._results)))
+                with self._cache_lock:
+                    for (key, rows), prediction in zip(fresh.items(), predictions):
+                        self._results[key] = prediction
+                        for row in rows:
+                            results[row] = prediction
+                    while len(self._results) > self.max_result_entries:
+                        self._results.pop(next(iter(self._results)))
             span.set_attr("result_cache_hits", hits)
             _PREDICT_MS.observe((clock.now() - start) * 1000.0)
         assert all(result is not None for result in results)
@@ -460,8 +491,7 @@ class PredictionEngine:
         max_steps: int = 2_000_000,
     ) -> dict[str, int]:
         """Ground-truth costs via the shared static-profile cache."""
-        with self._lock:
-            self.stats.profile_requests += 1
+        self.record_profile()
         _PROFILE_REQUESTS.inc()
         profiler = Profiler(
             params or HardwareParams(),
@@ -487,8 +517,18 @@ class PredictionEngine:
 
     # -- introspection ---------------------------------------------------
 
+    def record_profile(self) -> None:
+        """Count one served ground-truth profile."""
+        with self._cache_lock:
+            self.stats.profile_requests += 1
+
+    def record_error(self) -> None:
+        """Count one failed request (called from HTTP handler threads)."""
+        with self._cache_lock:
+            self.stats.errors += 1
+
     def stats_dict(self) -> dict:
-        with self._lock:
+        with self._lock, self._cache_lock:
             predictor_stats = {
                 name: predictor.stats_dict()
                 for name, predictor in sorted(self._predictors.items())

@@ -1,9 +1,11 @@
 """Stdlib HTTP front end for the prediction service.
 
-``ThreadingHTTPServer`` gives one handler thread per connection; every
-``/predict`` handler submits its prepared request to the shared
-:class:`MicroBatcher` and blocks on the future, so concurrent callers
-are transparently coalesced into batched encoder passes.
+``ThreadingHTTPServer`` gives one handler thread per connection.  A
+``/predict`` handler answers a result-cache hit itself, on its own
+thread, without queueing; a miss is submitted to the shared
+:class:`MicroBatcher`, which flushes it at once together with any
+misses already queued, and the handler blocks on the future.  The
+``batching`` block of ``/stats`` therefore describes misses only.
 
 The handlers are thin adapters over a :class:`repro.api.Session`: each
 one decodes the request body into an API job dataclass, lets the
@@ -198,7 +200,7 @@ class _Handler(BaseHTTPRequestHandler):
                 response = route(payload)
             self._send_json(200, response)
         except (ReproError, KeyError, TypeError, ValueError) as exc:
-            owner.engine.stats.errors += 1
+            owner.engine.record_error()
             body = {"error": f"{type(exc).__name__}: {exc}"}
             reasons = getattr(exc, "reasons", None)
             if reasons:
@@ -207,7 +209,7 @@ class _Handler(BaseHTTPRequestHandler):
                 body["reasons"] = list(reasons)
             self._send_json(400, body)
         except Exception as exc:  # pragma: no cover - defensive
-            owner.engine.stats.errors += 1
+            owner.engine.record_error()
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
 
@@ -223,7 +225,6 @@ class PredictionServer:
         host: str = "127.0.0.1",
         port: int = 8173,
         max_batch: int = 8,
-        max_wait_ms: float = 10.0,
         default_model: Optional[str] = None,
         request_timeout_s: float = 120.0,
         verbose: bool = False,
@@ -255,13 +256,7 @@ class PredictionServer:
         self.request_timeout_s = request_timeout_s
         self.verbose = verbose
         self.started_at = clock.now()
-        self.batcher = MicroBatcher(
-            self.engine.predict_requests,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            length_of=self._request_length,
-            score_budget=self._score_budget(self.engine, self.default_model),
-        )
+        self.batcher = MicroBatcher(self.engine.predict_requests, max_batch=max_batch)
         self._http = self._Http((host, port), _Handler)
         self._http.owner = self
         self._thread: Optional[threading.Thread] = None
@@ -285,28 +280,6 @@ class PredictionServer:
             "serve.batching"
         ) or self.batcher.stats.as_dict()
         return stats
-
-    @staticmethod
-    def _score_budget(engine: PredictionEngine, default_model: str) -> Optional[int]:
-        """Per-bucket ``batch × seq²`` budget normalized by head count,
-        matching the ``_SCORE_BUDGET`` chunking inside ``encode_batch``."""
-        from ..core.model import CostModel
-
-        try:
-            model = engine.registry.get(default_model)
-        except ServeError:
-            return None
-        return CostModel._SCORE_BUDGET // max(1, model.encoder.config.heads)
-
-    def _request_length(self, request) -> int:
-        try:
-            model = self.engine.registry.get(request.model)
-        except ServeError:
-            # Unknown model: bucket by 0; the flush itself raises the
-            # real error into the request's future.
-            return 0
-        limit = model.encoder.config.max_seq_len
-        return min(len(model.tokenize(request.bundle)), limit)
 
     # -- request handling (called from handler threads) ------------------
 
@@ -363,11 +336,13 @@ class PredictionServer:
             model=job.model or self.default_model,
             beam_width=job.beam_width,
         )
-        # The one server-specific step: route through the shared
-        # micro-batcher so concurrent handler threads coalesce into
-        # batched encoder passes.
-        future = self.batcher.submit(request)
-        prediction = future.result(timeout=self.request_timeout_s)
+        # The one server-specific step: a hit is answered here; a miss
+        # goes through the shared micro-batcher so concurrent misses
+        # coalesce into batched encoder passes.
+        prediction = self.engine.cached_result(request)
+        if prediction is None:
+            future = self.batcher.submit(request)
+            prediction = future.result(timeout=self.request_timeout_s)
         if versioned:
             return to_payload(
                 prediction_from_cost(prediction, model=request.model, label=job.label)

@@ -68,7 +68,7 @@ def session(model):
 @pytest.fixture(scope="module")
 def server(model):
     server = PredictionServer(
-        session=Session.from_model(model), port=0, max_batch=4, max_wait_ms=5.0
+        session=Session.from_model(model), port=0, max_batch=4
     ).start()
     yield server
     server.close()
@@ -458,7 +458,7 @@ class TestPredictorProtocol:
         # reject default-routed requests, not pick one by sort order.
         engine = PredictionEngine.from_model(model, name="alpha")
         engine.registry.register("beta", model=model, tier=model.config.tier)
-        server = PredictionServer(engine, port=0, max_wait_ms=2.0).start()
+        server = PredictionServer(engine, port=0).start()
         try:
             client = ServeClient(server.url, timeout_s=60.0)
             with pytest.raises(ServeError, match="unknown model 'default'"):

@@ -153,6 +153,32 @@ class TestEncodeParity:
         assert local.encoder.token_embedding.weight.grad is not None
 
 
+class TestEncodeChunking:
+    def test_length_bucketing_respects_score_budget(self, model, monkeypatch):
+        """``encode_batch`` buckets every batched encode, served flushes
+        included: it splits mixed-length bundles so that each chunk's
+        score tensor (chunk × heads × padded length²) stays within
+        ``_SCORE_BUDGET``.  A chunk of one bundle is exempt."""
+        chunks = []
+        padded = model._encode_batch_padded
+
+        def spy(tokenized, masks, lengths):
+            chunks.append(list(lengths))
+            return padded(tokenized, masks, lengths)
+
+        monkeypatch.setattr(model, "_encode_batch_padded", spy)
+        bundles, segments = mixed_bundles(8)
+        model.encode_batch(bundles, segments)
+        limit = model.encoder.config.max_seq_len
+        lengths = [min(len(model.tokenize(bundle)), limit) for bundle in bundles]
+        assert len(set(lengths)) > 1 and len(chunks) > 1
+        assert sorted(n for chunk in chunks for n in chunk) == sorted(lengths)
+        heads = model.encoder.config.heads
+        for chunk in chunks:
+            if len(chunk) > 1:
+                assert len(chunk) * heads * max(chunk) ** 2 <= model._SCORE_BUDGET
+
+
 class TestLossParity:
     @pytest.mark.parametrize("batch_size", [1, 3, 8])
     def test_loss_batch_matches_single(self, model, batch_size):

@@ -75,3 +75,17 @@ class TestCacheKeys:
             predictor.predict(bundle)
             rates.append(predictor.stats.hit_rate)
         assert rates == sorted(rates)
+
+
+class TestLatencyWindow:
+    def test_latencies_stay_bounded(self, monkeypatch):
+        from repro.core import acceleration
+
+        assert make_predictor().stats.latencies.maxlen == acceleration.LATENCY_WINDOW
+        monkeypatch.setattr(acceleration, "LATENCY_WINDOW", 8)
+        predictor = make_predictor()
+        bundle = make_bundle(ops=["void a() { }"])
+        for _ in range(12):
+            predictor.predict(bundle)
+        assert len(predictor.stats.latencies) == 8
+        assert predictor.stats.last_latency_s == predictor.stats.latencies[-1]

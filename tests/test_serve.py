@@ -1,12 +1,15 @@
 """The prediction service: batching, tiered caching, HTTP parity.
 
-Covers the ISSUE-3 concurrency contract: served predictions identical
-to direct ``predict_costs``, micro-batch flushes on both the size and
-the wait trigger, N threads hammering the server and each getting its
-own program's answer back, and graceful shutdown draining the queue.
+Covers the concurrency contract: served predictions identical to
+direct ``predict_costs``, greedy micro-batch flushes (a lone request at
+once, batch-mates only from what is already queued, capped by
+``max_batch``), result-cache hits answered without the batcher, N
+threads hammering the server and each getting its own program's answer
+back, and graceful shutdown draining the queue.
 """
 
 import json
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -72,7 +75,7 @@ def direct_predictions(model):
 @pytest.fixture(scope="module")
 def server(model):
     engine = PredictionEngine.from_model(model)
-    server = PredictionServer(engine, port=0, max_batch=4, max_wait_ms=10.0).start()
+    server = PredictionServer(engine, port=0, max_batch=4).start()
     yield server
     server.close()
 
@@ -87,63 +90,61 @@ def client(server):
 
 class TestMicroBatcher:
     def test_flushes_on_max_batch_before_deadline(self):
+        release = threading.Event()
         flushed = []
 
         def flush(items):
+            # Held until all four are queued, so max_batch must split them.
+            release.wait(timeout=10.0)
             flushed.append(list(items))
             return [item * 10 for item in items]
 
-        batcher = MicroBatcher(flush, max_batch=2, max_wait_ms=60_000.0)
+        batcher = MicroBatcher(flush, max_batch=2)
         try:
-            start = time.monotonic()
             futures = [batcher.submit(i) for i in range(4)]
+            release.set()
             results = [future.result(timeout=10.0) for future in futures]
-            elapsed = time.monotonic() - start
         finally:
             batcher.close()
         assert results == [0, 10, 20, 30]
-        # The size trigger fired: nothing waited out the 60s deadline.
-        assert elapsed < 30.0
         assert all(len(batch) <= 2 for batch in flushed)
         assert batcher.stats.requests == 4
         assert max(batcher.stats.size_histogram) == 2
 
-    def test_flushes_on_max_wait_with_partial_batch(self):
-        batcher = MicroBatcher(lambda items: items, max_batch=64, max_wait_ms=30.0)
-        try:
-            futures = [batcher.submit(i) for i in range(3)]
-            assert [f.result(timeout=10.0) for f in futures] == [0, 1, 2]
-        finally:
-            batcher.close()
-        # Far below max_batch, so only the wait trigger can have fired.
-        assert batcher.stats.batches >= 1
-        assert max(batcher.stats.size_histogram) <= 3
+    def test_coalesces_requests_queued_during_a_flush(self):
+        """A lone request flushes at once; requests that arrive while a
+        flush runs form the next batch, capped by ``max_batch``."""
 
-    def test_length_bucketing_respects_score_budget(self):
-        flushed = []
+        def run(max_batch):
+            started, release = threading.Event(), threading.Event()
+            flushed = []
 
-        def flush(items):
-            flushed.append(list(items))
-            return items
+            def flush(items):
+                flushed.append(list(items))
+                started.set()
+                release.wait(timeout=10.0)
+                return items
 
-        # Budget 200: two items of length 10 fit (2*100), three do not.
-        batcher = MicroBatcher(
-            flush, max_batch=8, max_wait_ms=200.0,
-            length_of=lambda item: item, score_budget=200,
-        )
-        try:
-            futures = [batcher.submit(10) for _ in range(4)]
-            for future in futures:
-                future.result(timeout=10.0)
-        finally:
-            batcher.close()
-        assert all(len(batch) <= 2 for batch in flushed)
+            batcher = MicroBatcher(flush, max_batch=max_batch)
+            try:
+                first = batcher.submit("A")
+                assert started.wait(timeout=10.0)  # A flushed on its own
+                rest = [batcher.submit(item) for item in "BCD"]
+                release.set()
+                results = [f.result(timeout=10.0) for f in [first, *rest]]
+            finally:
+                batcher.close()
+            assert results == ["A", "B", "C", "D"]
+            return flushed
+
+        assert run(64) == [["A"], ["B", "C", "D"]]
+        assert run(2) == [["A"], ["B", "C"], ["D"]]
 
     def test_flush_error_propagates_to_callers(self):
         def flush(items):
             raise RuntimeError("boom")
 
-        batcher = MicroBatcher(flush, max_batch=2, max_wait_ms=5.0)
+        batcher = MicroBatcher(flush, max_batch=2)
         try:
             future = batcher.submit(1)
             with pytest.raises(RuntimeError, match="boom"):
@@ -160,7 +161,7 @@ class TestMicroBatcher:
             processed.extend(items)
             return items
 
-        batcher = MicroBatcher(flush, max_batch=1, max_wait_ms=1.0)
+        batcher = MicroBatcher(flush, max_batch=1)
         futures = [batcher.submit(i) for i in range(5)]
         release.set()
         batcher.close(timeout=30.0)
@@ -257,6 +258,55 @@ class TestPredictionEngine:
         stats = engine.stats_dict()
         assert stats["result_cache"]["hits"] == 1
         assert stats["result_cache"]["misses"] == 1
+
+    def test_identical_requests_count_one_miss_and_one_hit(self, model):
+        """Single flight: every request counts once, as a hit or a miss,
+        whether the repeat shares a flush, queues behind the first or is
+        answered from the result cache without a flush."""
+        source = PROGRAMS["scale"].replace("2.0", "9.5")
+
+        def shared_flush(engine, first, second):
+            return engine.predict_requests([first, second])
+
+        def queued_behind(engine, first, second):
+            return engine.predict_requests([first]) + engine.predict_requests([second])
+
+        def handler_hit(engine, first, second):
+            return engine.predict_requests([first]) + [engine.cached_result(second)]
+
+        for path in (shared_flush, queued_behind, handler_hit):
+            engine = PredictionEngine.from_model(model)
+            first, second = (engine.build_request(source, data=DATA) for _ in range(2))
+            answers = path(engine, first, second)
+            assert answers[0] is answers[1], path.__name__
+            stats = engine.stats
+            assert (stats.requests, stats.result_misses, stats.result_hits) == (
+                2, 1, 1
+            ), path.__name__
+
+    def test_counters_survive_concurrent_hits(self, model):
+        engine = PredictionEngine.from_model(model)
+        request = engine.build_request(PROGRAMS["scale"], data=DATA)
+        engine.predict_requests([request])
+        workers, rounds = 8, 200
+
+        def hit():
+            for _ in range(rounds):
+                assert engine.cached_result(request) is not None
+
+        threads = [threading.Thread(target=hit) for _ in range(workers)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        hits = workers * rounds
+        assert (engine.stats.requests, engine.stats.result_hits) == (1 + hits, hits)
 
     def test_static_encoding_shared_across_data_variants(self, model):
         """Tier-2 win: same program under new runtime data re-encodes
@@ -431,11 +481,55 @@ class TestServer:
         histogram = stats["batching"]["size_histogram"]
         assert sum(histogram.values()) >= 1
 
+    def test_concurrent_identical_requests_count_once(self, server):
+        """Two clients send the same unseen program at once: one miss,
+        one hit, two requests, whichever path the repeat took."""
+        source = PROGRAMS["shift"].replace("1.0", "4.75")
+        stats = server.engine.stats
+        before = (stats.requests, stats.result_misses, stats.result_hits)
+        barrier = threading.Barrier(2)
+        answers = []
+
+        def send():
+            client = ServeClient(server.url, timeout_s=120.0)
+            barrier.wait()
+            answers.append(client.predict(source, data=DATA))
+
+        threads = [threading.Thread(target=send) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert len(answers) == 2 and answers[0] == answers[1]
+        after = (stats.requests, stats.result_misses, stats.result_hits)
+        assert [b - a for a, b in zip(before, after)] == [2, 1, 1]
+
+    def test_concurrent_errors_are_all_counted(self, server, client):
+        sent = 8
+        before = client.stats()["errors"]
+        barrier = threading.Barrier(sent)
+
+        def send():
+            barrier.wait()
+            with pytest.raises(ServeError, match="HTTP 400"):
+                ServeClient(server.url)._request("/predict", {"program": 42})
+
+        threads = [threading.Thread(target=send) for _ in range(sent)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert client.stats()["errors"] - before == sent
+
     def test_shutdown_drains_inflight_requests(self, model):
         engine = PredictionEngine.from_model(model)
-        local = PredictionServer(
-            engine, port=0, max_batch=4, max_wait_ms=50.0
-        ).start()
+        local = PredictionServer(engine, port=0, max_batch=4).start()
         client = ServeClient(local.url, timeout_s=120.0)
         results = []
 

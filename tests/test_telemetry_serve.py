@@ -1,8 +1,10 @@
 """Telemetry over the serving stack: one trace id spanning
-client → server → engine → batcher, the ``/metrics`` endpoint,
-``/stats`` backward compatibility, the BatchStats snapshot race,
-and the disabled mode's end-to-end no-op."""
+client → server → engine → batcher for a miss and client → server for a
+result-cache hit, the ``/metrics`` endpoint, ``/stats`` backward
+compatibility, the BatchStats snapshot race, and the disabled mode's
+end-to-end no-op."""
 
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,6 +28,13 @@ void scale(float a[8], float b[8], int n) {
 void dataflow(float a[8], float b[8], int n) { scale(a, b, n); }
 """
 DATA = {"n": 8}
+_UNSEEN = itertools.count(1)
+
+
+def unseen_program() -> str:
+    """A program this module's server has not been sent, so its request
+    misses the result cache and goes through the batcher."""
+    return PROGRAM.replace("2.0", f"{next(_UNSEEN) + 10}.125")
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +45,7 @@ def model():
 @pytest.fixture(scope="module")
 def server(model):
     engine = PredictionEngine.from_model(model)
-    server = PredictionServer(engine, port=0, max_batch=4, max_wait_ms=10.0).start()
+    server = PredictionServer(engine, port=0, max_batch=4).start()
     yield server
     server.close()
 
@@ -49,7 +58,7 @@ def client(server):
 class TestTracePropagation:
     def test_one_trace_id_spans_client_to_batcher(self, client):
         TRACER.clear()
-        client.predict(PROGRAM, data=DATA)
+        client.predict(unseen_program(), data=DATA)
         trace_ids = client.traces()
         assert trace_ids, "server buffered no traces"
         # The client span started the trace, so its id is the newest one
@@ -66,7 +75,7 @@ class TestTracePropagation:
 
     def test_spans_nest_under_the_client_root(self, client):
         TRACER.clear()
-        client.predict(PROGRAM, data=DATA)
+        client.predict(unseen_program(), data=DATA)
         spans = client.trace(client.traces()[-1])
         by_name = {span["name"]: span for span in spans}
         root = by_name["client.predict"]
@@ -77,6 +86,24 @@ class TestTracePropagation:
         flush = by_name["serve.batch.flush"]
         assert flush["parent_id"] == by_name["server/predict"]["span_id"]
         assert by_name["engine.predict"]["parent_id"] == flush["span_id"]
+
+    def test_result_cache_hit_skips_the_batcher(self, client, server):
+        source = unseen_program()
+        first = client.predict(source, data=DATA)
+        counters = METRICS.snapshot()["counters"]
+        flushed = server.batcher.stats.requests
+        TRACER.clear()
+        again = client.predict(source, data=DATA)
+        assert again == first
+        spans = client.trace(client.traces()[-1])
+        by_name = {span["name"]: span for span in spans}
+        root = by_name["client.predict"]
+        assert by_name["server/predict"]["parent_id"] == root["span_id"]
+        assert not [name for name in by_name if name.startswith("serve.batch.")]
+        after = METRICS.snapshot()["counters"]
+        for name in ("serve.engine.requests", "serve.engine.result_cache.hits"):
+            assert after[name] - counters[name] == 1, name
+        assert server.batcher.stats.requests == flushed
 
     def test_unknown_trace_id_is_404(self, client):
         from repro.errors import ServeError
@@ -95,7 +122,7 @@ class TestTracePropagation:
 
 class TestMetricsEndpoint:
     def test_metrics_snapshot_shape(self, client):
-        client.predict(PROGRAM, data=DATA)
+        client.predict(unseen_program(), data=DATA)
         snap = client.metrics()
         assert snap["enabled"] is True
         assert snap["counters"]["serve.engine.requests"] >= 1
@@ -259,7 +286,6 @@ class TestDisabledModeServe:
             batcher = MicroBatcher(
                 lambda items: [item * 2 for item in items],
                 max_batch=2,
-                max_wait_ms=5.0,
             )
             try:
                 futures = [batcher.submit(i) for i in range(4)]
